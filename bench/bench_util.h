@@ -131,12 +131,13 @@ class ObsSession {
                      sampler.rows().size(), out.c_str());
       }
     }
-    if (obs::trace_on() && !obs::trace_path().empty()) {
+    const std::string& trace_path = config().trace_path;
+    if (obs::trace_on() && !trace_path.empty()) {
       auto& tracer = obs::Tracer::instance();
-      if (tracer.dump_json_to_file(obs::trace_path())) {
+      if (tracer.dump_json_to_file(trace_path)) {
         std::fprintf(stderr, "[obs] trace (%llu events) -> %s\n",
                      static_cast<unsigned long long>(tracer.events_emitted()),
-                     obs::trace_path().c_str());
+                     trace_path.c_str());
       }
     }
   }

@@ -534,27 +534,13 @@ inline ThreadCacheList::~ThreadCacheList() {
   head = nullptr;
 }
 
-// -1 = unresolved. The MVCC_ALLOC route latches at the first allocation
-// and never flips afterwards: a block must be freed by the same policy
-// that allocated it.
-inline std::atomic<int>& pooled_flag() {
-  static std::atomic<int> flag{-1};
-  return flag;
-}
-
 }  // namespace detail
 
 // Whether fixed-size blocks route through the slab pool (MVCC_ALLOC
 // unset/"slab") or plain operator new/delete ("malloc" — the A/B
-// fallback). Resolved once per process.
-inline bool pooled() {
-  int v = detail::pooled_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = config().alloc_pooled ? 1 : 0;
-    detail::pooled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
+// fallback). config() never changes, so a block is always freed by the
+// route that allocated it.
+inline bool pooled() { return config().alloc_pooled; }
 
 // --- Routing front: the allocation API the subsystems consume --------------
 

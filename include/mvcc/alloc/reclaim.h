@@ -11,7 +11,7 @@
 // The background lane keeps PR 8's contract: reclaim_queue_depth() counts
 // payloads published-but-unfreed (the sampler's reclaim/queue_depth
 // column), every deferred batch runs under a `reclaim/batch_free` trace
-// span, and quiesce() blocks until the lane is drained.
+// span, and exec::quiesce_deferred() blocks until the lane is drained.
 //
 // Registry handles (under obs::enabled()):
 //   reclaim/deferred         payloads routed to the background lane
@@ -92,10 +92,5 @@ void reclaim_batch(std::vector<T*> dead, ReclaimLane lane,
                                     std::memory_order_relaxed);
   });
 }
-
-// Blocks until every batch ever routed to the background lane has been
-// freed (helping drain from the calling thread). Trivially quiescent when
-// the pool was never created or the lane never engaged.
-inline void reclaim_quiesce() { exec::quiesce_deferred(); }
 
 }  // namespace mvcc::alloc

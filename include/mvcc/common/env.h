@@ -1,50 +1,67 @@
-// Environment-variable knobs shared by every experiment binary.
+// Environment-variable knobs shared by the library and the experiment
+// binaries.
 //
 // The paper's harnesses are parameterised by machine scale; rather than a
 // flag library we use a tiny set of env knobs so the same binary runs on a
-// laptop (defaults) and on the paper's 72-core machine (MVCC_* overrides):
+// laptop (defaults) and on the paper's 72-core machine (MVCC_* overrides).
+//
+// The one rule: this header is the only library code that reads a knob.
+// Config::from_env() parses every library knob, config() resolves it once,
+// at its first call, and it never changes afterwards. Set MVCC_* before the
+// first library call (not merely before static initialisation: config() is
+// a function-local static, so main() may still set the environment).
+// Because the value cannot change, allocate/free always agree on the
+// allocation route and every default-sized ShardedMap has the same shard
+// count. The obs/ and vm/ run-time switches
+// (obs::set_enabled, obs::set_trace_enabled, vm::set_bg_reclaim) are
+// seeded from config() at first use; tests flip them, the environment
+// does not.
+//
+// Library knobs (fields of Config):
 //
 //   MVCC_SCALE    multiplier applied to structure sizes        (default 1.0)
+//   MVCC_THREADS  worker-thread count for batch/bulk ops; non-positive
+//                 values floor at 1                            (default hw)
+//   MVCC_GRAIN    fork-join grain for the bulk tree ops: a recursive
+//                 subproblem below this many nodes stays sequential
+//                 (see ftree/ops.h bulk_grain); non-positive = default,
+//                 below kGrainFloor clamps to it            (default 2048)
+//   MVCC_ALLOC    node/tuple allocation policy: "malloc" keeps plain
+//                 operator new/delete for A/B comparison, anything else
+//                 routes fixed-size blocks through the alloc/ magazine
+//                 pool (see alloc/pool.h)                 (default "slab")
+//   MVCC_SLAB_BYTES  bytes per slab the alloc/ pool carves blocks from,
+//                 clamped to [4096, 16MiB]                 (default 65536)
+//   MVCC_SHARDS   shard count of a default-sized ShardedMap
+//                 (txn/sharded.h), clamped to [1, 256]         (default 1)
+//   MVCC_STATS    nonzero enables the obs/ metrics layer (see
+//                 obs/obs.h)                                   (default 0)
+//   MVCC_TRACE    output path for the Chrome-trace event dump; tracing
+//                 needs MVCC_STATS too (see obs/trace.h)    (default off)
+//   MVCC_PERF     nonzero opens perf_event hardware counters per bench
+//                 cell under MVCC_STATS (see obs/perf.h; silent no-op
+//                 where the syscall is unavailable)            (default 0)
+//   MVCC_BG_RECLAIM  nonzero routes the exact freed sets VM operations
+//                 return to the exec/ pool's background lane instead of
+//                 freeing inline (see vm/base.h reclaim_payloads)
+//                                                              (default 0)
+//
+// A malformed number falls back to the knob's default.
+//
+// Bench-harness knobs (read by bench/bench_util.h, not by the library):
+//
 //   MVCC_SECONDS  wall-clock budget per measured cell, seconds (default 0.4)
 //   MVCC_READERS  reader-thread count for the Table 2 harness  (default 3)
-//   MVCC_THREADS  worker-thread count for batch/bulk ops       (default hw)
 //   MVCC_WARMUP_SECONDS  steady-state warm-up before each measured
 //                 duration-based bench cell                    (default 0.1)
-//   MVCC_STATS    1 enables the obs/ metrics layer (see obs/obs.h);
-//                 unset/0 keeps instrumentation disabled       (default 0)
 //   MVCC_SAMPLE_MS  footprint sampler period, ms; 0 disables the sampler
 //                 thread entirely (see obs/sampler.h)          (default 0)
 //   MVCC_SAMPLE_OUT path the benches write the footprint CSV to
 //                 when the sampler ran             (default footprint.csv)
-//   MVCC_TRACE    output path for the Chrome-trace event dump; unset
-//                 disables tracing (see obs/trace.h)        (default off)
-//   MVCC_PERF     1 opens perf_event hardware counters per bench cell
-//                 (see obs/perf.h; silent no-op where the syscall is
-//                 unavailable)                                 (default 0)
-//   MVCC_GRAIN    fork-join grain for the bulk tree ops: a recursive
-//                 subproblem below this many nodes stays sequential
-//                 (see ftree/ops.h bulk_grain)              (default 2048)
-//   MVCC_BG_RECLAIM  1 routes the exact freed sets VM operations return
-//                 to the exec/ pool's background lane instead of freeing
-//                 inline (see vm/base.h reclaim_payloads)      (default 0)
-//   MVCC_ALLOC    node/tuple allocation policy: "slab" routes fixed-size
-//                 blocks through the alloc/ magazine pool, "malloc" keeps
-//                 plain operator new/delete for A/B comparison
-//                 (see alloc/pool.h)                      (default "slab")
-//   MVCC_SLAB_BYTES  bytes per slab the alloc/ pool carves blocks from,
-//                 clamped to [4096, 16MiB]                 (default 65536)
-//   MVCC_SHARDS   shard count for the sharded multi-writer front-end
-//                 (txn/sharded.h): the key space is hash-partitioned
-//                 across this many independent BatchingMap shards, each
-//                 with its own flattener and version manager. Clamped to
-//                 [1, 256]; latched at the first ShardedMap construction
-//                 (like MVCC_ALLOC's route latch) so a reload_config()
-//                 mid-process cannot leave two maps disagreeing about the
-//                 shard topology the sharded/* metrics are keyed by
-//                                                              (default 1)
 #pragma once
 
-#include <atomic>
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -83,21 +100,17 @@ inline constexpr long kGrainFloor = 64;
 
 namespace detail {
 
-inline double parse_scale() { return env_double("MVCC_SCALE", 1.0); }
-
 // MVCC_GRAIN with the guard rails: non-positive or malformed values fall
 // back to the default (a grain of 0 would fork single-node subproblems),
 // and positive-but-absurd values clamp to kGrainFloor — silently accepting
 // e.g. MVCC_GRAIN=1 used to turn every bulk op into spawn-bound sludge.
-// The clamp logs once per process under MVCC_STATS=1 so a grain sweep
-// that walked off the edge is visible rather than mysteriously flat.
-inline long parse_grain() {
+// The clamp logs under MVCC_STATS so a grain sweep that walked off the
+// edge is visible rather than mysteriously flat.
+inline long parse_grain(bool stats) {
   const long v = env_long("MVCC_GRAIN", 2048);
   if (v <= 0) return 2048;
   if (v < kGrainFloor) {
-    static std::atomic<bool> warned{false};
-    if (env_long("MVCC_STATS", 0) != 0 &&
-        !warned.exchange(true, std::memory_order_relaxed)) {
+    if (stats) {
       std::fprintf(stderr,
                    "[mvcc] MVCC_GRAIN=%ld would fork near-single-node "
                    "subproblems; clamped to %ld\n",
@@ -108,45 +121,9 @@ inline long parse_grain() {
   return v;
 }
 
-inline int parse_threads() {
-  const long hw = static_cast<long>(std::thread::hardware_concurrency());
-  const long v = env_long("MVCC_THREADS", hw > 0 ? hw : 1);
-  return static_cast<int>(v > 0 ? v : 1);
-}
-
-// MVCC_ALLOC: any value other than "malloc" selects the slab pool, so a
-// typo fails toward the default policy instead of silently changing it.
-inline bool parse_alloc_pooled() {
-  return env_string("MVCC_ALLOC", "slab") != "malloc";
-}
-
-inline std::size_t parse_slab_bytes() {
-  const long v = env_long("MVCC_SLAB_BYTES", 1L << 16);
-  const long lo = 1L << 12;
-  const long hi = 1L << 24;
-  return static_cast<std::size_t>(v < lo ? lo : (v > hi ? hi : v));
-}
-
-// MVCC_SHARDS clamped to [1, 256]: a shard is a whole flattener thread plus
-// a version manager, so counts beyond a few hundred are a misconfiguration,
-// not a scale-up.
-inline int parse_shards() {
-  const long v = env_long("MVCC_SHARDS", 1);
-  return static_cast<int>(v < 1 ? 1 : (v > 256 ? 256 : v));
-}
-
 }  // namespace detail
 
-// --- Consolidated runtime configuration ------------------------------------
-//
-// Every tuning knob used to be its own free function re-reading the
-// environment; each new knob added another global. Config gathers the
-// process-wide ones into one struct, seeded from the environment on first
-// use of config() and test-overridable: either mutate config() fields
-// directly, or setenv + reload_config(). Library code reads config() (one
-// cached struct, no getenv on hot paths); the env_threads()/env_grain()/
-// env_scale() free functions below survive as thin deprecated wrappers
-// that keep their historical re-read-every-call semantics.
+// --- The process-wide runtime configuration --------------------------------
 struct Config {
   double scale = 1.0;              // MVCC_SCALE
   int threads = 1;                 // MVCC_THREADS (floored at 1)
@@ -154,6 +131,10 @@ struct Config {
   bool alloc_pooled = true;        // MVCC_ALLOC ("slab" | "malloc")
   std::size_t slab_bytes = 65536;  // MVCC_SLAB_BYTES
   int shards = 1;                  // MVCC_SHARDS (clamped to [1, 256])
+  bool stats = false;              // MVCC_STATS
+  bool perf = false;               // MVCC_PERF
+  std::string trace_path;          // MVCC_TRACE (empty = no trace)
+  bool bg_reclaim = false;         // MVCC_BG_RECLAIM
 
   // Scales a base structure size by `scale`; never returns less than 1 for
   // a positive base, so the result is always a usable element count.
@@ -164,49 +145,34 @@ struct Config {
 
   static Config from_env() {
     Config c;
-    c.scale = detail::parse_scale();
-    c.threads = detail::parse_threads();
-    c.grain = detail::parse_grain();
-    c.alloc_pooled = detail::parse_alloc_pooled();
-    c.slab_bytes = detail::parse_slab_bytes();
-    c.shards = detail::parse_shards();
+    c.stats = env_long("MVCC_STATS", 0) != 0;
+    c.perf = env_long("MVCC_PERF", 0) != 0;
+    c.trace_path = env_string("MVCC_TRACE");
+    c.bg_reclaim = env_long("MVCC_BG_RECLAIM", 0) != 0;
+    c.scale = env_double("MVCC_SCALE", 1.0);
+    const long hw = static_cast<long>(std::thread::hardware_concurrency());
+    const long threads = env_long("MVCC_THREADS", hw > 0 ? hw : 1);
+    c.threads = static_cast<int>(threads > 0 ? threads : 1);
+    c.grain = detail::parse_grain(c.stats);
+    // Any MVCC_ALLOC other than "malloc" selects the slab pool, so a typo
+    // fails toward the default policy instead of silently changing it.
+    c.alloc_pooled = env_string("MVCC_ALLOC", "slab") != "malloc";
+    c.slab_bytes = static_cast<std::size_t>(
+        std::clamp(env_long("MVCC_SLAB_BYTES", 1L << 16), 1L << 12, 1L << 24));
+    // A shard is a whole flattener thread plus a version manager, so
+    // counts beyond a few hundred are a misconfiguration, not a scale-up.
+    c.shards =
+        static_cast<int>(std::clamp(env_long("MVCC_SHARDS", 1), 1L, 256L));
     return c;
   }
 };
 
-// The process-wide configuration, seeded from the environment on first
-// call. Set overriding env vars before the first library use (or call
-// reload_config()); note that some consumers resolve their policy once —
-// e.g. the allocation route (alloc/pool.h) and bulk_grain (ftree/ops.h)
-// latch at first use so a mid-run flip cannot mismatch allocate/free pairs.
-inline Config& config() {
-  static Config c = Config::from_env();
-  return c;
+// The process-wide configuration, parsed from the environment at the first
+// call and immutable afterwards. Never destroyed, so a destructor that
+// frees pooled nodes during static teardown can still read it.
+inline const Config& config() {
+  static const Config* const c = new Config(Config::from_env());
+  return *c;
 }
-
-// Re-seeds config() from the current environment (for tests that setenv).
-inline void reload_config() { config() = Config::from_env(); }
-
-// --- Deprecated thin wrappers ----------------------------------------------
-// Pre-Config call sites read these; they re-read the environment every call
-// (the historical contract some tests rely on). New code: use config().
-
-// The raw MVCC_SCALE multiplier (default 1.0). Deprecated: config().scale.
-inline double env_scale() { return detail::parse_scale(); }
-
-// Scales a base structure size by MVCC_SCALE. Deprecated: config().scaled.
-inline long env_scale(long base) {
-  Config c;
-  c.scale = detail::parse_scale();
-  return c.scaled(base);
-}
-
-// Fork-join grain for the bulk tree operations (MVCC_GRAIN). Deprecated:
-// config().grain.
-inline long env_grain() { return detail::parse_grain(); }
-
-// Worker-thread count for bulk operations (MVCC_THREADS overrides
-// hardware). Deprecated: config().threads.
-inline int env_threads() { return detail::parse_threads(); }
 
 }  // namespace mvcc

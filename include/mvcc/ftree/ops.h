@@ -427,11 +427,9 @@ SplitResult<K, V, A> split(Node<K, V, A>* t, const K& k) {
 // Fork-join granularity for the bulk operations: a recursive subproblem
 // below this many nodes of work stays sequential, so the fork cost is
 // always amortized over thousands of node visits. Tunable (MVCC_GRAIN via
-// config().grain, default 2048, floored at kGrainFloor) for grain sweeps;
-// resolved once per process, so set it before the first bulk op.
+// config().grain, default 2048, floored at kGrainFloor) for grain sweeps.
 inline std::uint64_t bulk_grain() {
-  static const std::uint64_t g = static_cast<std::uint64_t>(config().grain);
-  return g;
+  return static_cast<std::uint64_t>(config().grain);
 }
 
 namespace detail {
@@ -512,8 +510,7 @@ Node<K, V, A>* build_sorted_rec(std::span<const std::pair<K, V>> entries,
 // The independent recursive calls are forked across `threads` workers
 // (0 = config().threads) above the bulk_grain() cutoff; the resulting tree is
 // bit-identical for every worker count. Inputs too small to ever fork
-// skip the worker-count resolution entirely, so small unions stay free
-// of getenv/sysconf traffic.
+// skip the worker-count resolution entirely.
 template <class K, class V, class A>
 Node<K, V, A>* union_(Node<K, V, A>* a, Node<K, V, A>* b, int threads = 0) {
   const int budget = weight_of(a) + weight_of(b) >= 2 * bulk_grain()

@@ -10,8 +10,8 @@
 //     MVCC_STATS_DISABLED, making enabled() constexpr false — every guarded
 //     block is dead code the compiler deletes outright.
 //   * Run time (the default build): enabled() is one relaxed atomic load
-//     and a branch, initialized from the MVCC_STATS environment variable
-//     (unset/0 = off). A predicted-untaken branch per already-expensive
+//     and a branch, seeded from config().stats (MVCC_STATS; unset/0 =
+//     off) at its first call. A predicted-untaken branch per already-expensive
 //     operation (node allocation, version retire, batch commit) is below
 //     measurement noise — the property the BENCH_6.json trajectory run
 //     checks against a stats-off build.
@@ -40,24 +40,20 @@ inline void set_enabled(bool) {}
 #else
 
 namespace detail {
-// -1 = uninitialized; first enabled() call resolves the MVCC_STATS env var.
-inline std::atomic<int>& enabled_flag() {
-  static std::atomic<int> flag{-1};
+// Seeded from config().stats at the first call, not at static
+// initialisation: a program may still set MVCC_STATS in main().
+inline std::atomic<bool>& enabled_flag() {
+  static std::atomic<bool> flag{config().stats};
   return flag;
 }
 }  // namespace detail
 
 inline bool enabled() {
-  int v = detail::enabled_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = env_long("MVCC_STATS", 0) != 0 ? 1 : 0;
-    detail::enabled_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return detail::enabled_flag().load(std::memory_order_relaxed);
 }
 
 inline void set_enabled(bool on) {
-  detail::enabled_flag().store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::enabled_flag().store(on, std::memory_order_relaxed);
 }
 
 #endif  // MVCC_STATS_DISABLED

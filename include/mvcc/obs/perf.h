@@ -44,9 +44,7 @@ inline bool perf_requested() {
 #if defined(MVCC_STATS_DISABLED)
   return false;
 #else
-  static const bool on =
-      env_long("MVCC_PERF", 0) != 0 && env_long("MVCC_STATS", 0) != 0;
-  return on;
+  return config().perf && config().stats;
 #endif
 }
 

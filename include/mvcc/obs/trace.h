@@ -17,7 +17,7 @@
 //
 // The gate mirrors obs::enabled()'s two layers: under -DMVCC_STATS=OFF
 // trace_on() is constexpr false and every emission site compiles out;
-// otherwise it is one relaxed load, lazily seeded from the environment —
+// otherwise it is one relaxed load, seeded from config() at its first call —
 // tracing is on iff MVCC_STATS is set AND MVCC_TRACE names an output file.
 // set_trace_enabled() exists for tests. With tracing off nothing is
 // allocated and no thread is spawned (the tracer has no thread at all; the
@@ -52,12 +52,6 @@ inline std::uint64_t trace_now_ns() {
           .count());
 }
 
-// The MVCC_TRACE environment value (output path; empty = tracing off).
-inline const std::string& trace_path() {
-  static const std::string p = env_string("MVCC_TRACE");
-  return p;
-}
-
 #if defined(MVCC_STATS_DISABLED)
 
 constexpr bool trace_on() { return false; }
@@ -66,24 +60,20 @@ inline void set_trace_enabled(bool) {}
 #else
 
 namespace detail {
-// -1 = uninitialized; the first trace_on() call resolves the environment.
-inline std::atomic<int>& trace_flag() {
-  static std::atomic<int> flag{-1};
+// Seeded from config() at the first call, like obs::enabled().
+inline std::atomic<bool>& trace_flag() {
+  static std::atomic<bool> flag{config().stats &&
+                                !config().trace_path.empty()};
   return flag;
 }
 }  // namespace detail
 
 inline bool trace_on() {
-  int v = detail::trace_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = (env_long("MVCC_STATS", 0) != 0 && !trace_path().empty()) ? 1 : 0;
-    detail::trace_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return detail::trace_flag().load(std::memory_order_relaxed);
 }
 
 inline void set_trace_enabled(bool on) {
-  detail::trace_flag().store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::trace_flag().store(on, std::memory_order_relaxed);
 }
 
 #endif  // MVCC_STATS_DISABLED

@@ -160,7 +160,7 @@ class BatchingMap {
     // deferred batch, a depot transfer) never fires.
     if (obs::enabled()) {
       (void)BatchingStats::get();
-      (void)vm::ReclaimStats::get();
+      (void)alloc::ReclaimStats::get();
       (void)alloc::AllocStats::get();
       register_txn_probes();
     }

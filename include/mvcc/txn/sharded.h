@@ -43,14 +43,11 @@
 // cross-shard atomicity is defined at the snapshot, exactly like a
 // database read transaction.
 //
-// MVCC_SHARDS sizing and the latch: a ShardedMap constructed with
-// shards=0 (the default) takes its shard count from mvcc::Config, and
-// that value LATCHES at the first such construction (like MVCC_ALLOC's
-// route latch): later setenv + reload_config() cannot change it for the
-// rest of the process, so two maps can never disagree about the topology
-// the process-wide sharded/shard<i>/* metrics are keyed by. An explicit
-// shards argument (benches sweeping 1/2/4 in one process, tests) bypasses
-// the latch without disturbing it.
+// MVCC_SHARDS sizing: a ShardedMap constructed with shards=0 (the default)
+// takes its shard count from config().shards, which never changes, so two
+// default-sized maps always agree about the topology the process-wide
+// sharded/shard<i>/* metrics are keyed by. An explicit shards argument
+// (benches sweeping 1/2/4 in one process, tests) overrides it.
 //
 // Metrics (registered up front, cumulative across instances like txn/*):
 //   sharded/shard<i>/ops        ops committed by shard i's flattener
@@ -81,15 +78,6 @@
 #include "mvcc/vm/base.h"
 
 namespace mvcc::txn {
-
-// The MVCC_SHARDS latch: resolved from config() exactly once, at the first
-// default-sized ShardedMap construction (or first explicit call). Mirrors
-// the alloc/ route latch — reload_config() after this point changes
-// config().shards but NOT the count default-sized maps are built with.
-inline int latched_shard_count() {
-  static const int n = config().shards;
-  return n;
-}
 
 // Partitions the key space across N independent BatchingMap shards and
 // adds the cross-shard snapshot / atomic multi-commit protocol described
@@ -130,8 +118,8 @@ class ShardedMap {
     std::vector<ReadTxn> txns_;
   };
 
-  // `shards` = 0 sizes from MVCC_SHARDS via the latch; an explicit count
-  // bypasses the latch (bench sweeps, tests). `initial` is partitioned by
+  // `shards` = 0 sizes from MVCC_SHARDS (config().shards); an explicit
+  // count overrides it (bench sweeps, tests). `initial` is partitioned by
   // shard_of and bulk-built per shard. `producers`, `buffer_capacity` and
   // `max_batch` apply to every shard (each shard has `producers` rings, so
   // any producer may submit to any shard).
@@ -139,7 +127,7 @@ class ShardedMap {
              std::size_t buffer_capacity = std::size_t{1} << 14,
              std::size_t max_batch = std::size_t{1} << 16)
       : producers_(producers),
-        nshards_(shards > 0 ? shards : latched_shard_count()) {
+        nshards_(shards > 0 ? shards : config().shards) {
     assert(producers >= 1);
     std::vector<std::vector<Entry>> parts(
         static_cast<std::size_t>(nshards_));

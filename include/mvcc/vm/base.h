@@ -103,32 +103,21 @@ inline void register_vm_probes() {
 // reclamation can never leak at shutdown.
 
 namespace detail {
-// -1 = uninitialized; the first query resolves the MVCC_BG_RECLAIM env
-// var. set_bg_reclaim() overrides for tests, mirroring obs::set_enabled.
-inline std::atomic<int>& bg_reclaim_flag() {
-  static std::atomic<int> flag{-1};
+// Seeded from config().bg_reclaim at the first call; set_bg_reclaim()
+// overrides for tests, mirroring obs::set_enabled.
+inline std::atomic<bool>& bg_reclaim_flag() {
+  static std::atomic<bool> flag{config().bg_reclaim};
   return flag;
 }
 }  // namespace detail
 
 inline bool bg_reclaim_enabled() {
-  int v = detail::bg_reclaim_flag().load(std::memory_order_relaxed);
-  if (v < 0) [[unlikely]] {
-    v = env_long("MVCC_BG_RECLAIM", 0) != 0 ? 1 : 0;
-    detail::bg_reclaim_flag().store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
+  return detail::bg_reclaim_flag().load(std::memory_order_relaxed);
 }
 
 inline void set_bg_reclaim(bool on) {
-  detail::bg_reclaim_flag().store(on ? 1 : 0, std::memory_order_relaxed);
+  detail::bg_reclaim_flag().store(on, std::memory_order_relaxed);
 }
-
-// The queue-depth gauge and registry handles now live on the unified
-// alloc/ reclamation seam (alloc/reclaim.h); these names are kept so vm/
-// clients and tests read them where the lane was introduced.
-using alloc::ReclaimStats;
-using alloc::reclaim_queue_depth;
 
 // Frees a VM operation's returned payload set through the unified
 // alloc::reclaim_batch seam: inline when deferred reclaim is off (or the
@@ -149,7 +138,7 @@ void reclaim_payloads(std::vector<T*> dead, Dispose dispose = {}) {
 // Blocks until every payload ever passed to reclaim_payloads has been
 // freed (helping drain from the calling thread). Trivially quiescent when
 // the pool was never created or deferred reclaim never engaged.
-inline void reclaim_quiesce() { alloc::reclaim_quiesce(); }
+inline void reclaim_quiesce() { exec::quiesce_deferred(); }
 
 // --- Cross-manager version vectors ---------------------------------------
 //

@@ -239,7 +239,7 @@ TEST(Alloc, ReclaimBatchBackgroundDrainsOnQuiesce) {
   for (int i = 0; i < 64; ++i) dead.push_back(alloc::create<std::uint64_t>());
   alloc::reclaim_batch(std::move(dead), alloc::ReclaimLane::kBackground,
                        alloc::PoolDispose{});
-  alloc::reclaim_quiesce();
+  exec::quiesce_deferred();
   EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 

@@ -1,8 +1,7 @@
 // Baselines tier: the five Figure-7 comparison structures behind
 // mvcc/baselines/ — oracle equivalence against std::map, concurrent
 // upsert/find stress (readers during writer bursts), linearizability
-// spot-checks, and leak accounting. Suite names start with "Baselines" so
-// the TSan CI tier's `-R 'Vm|Txn|Baselines'` filter picks them up.
+// spot-checks, and leak accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>

@@ -7,6 +7,8 @@
 #include "mvcc/common/env.h"
 #include "mvcc/common/rng.h"
 #include "mvcc/common/timing.h"
+#include "mvcc/obs/obs.h"
+#include "mvcc/vm/base.h"
 
 namespace {
 
@@ -38,47 +40,50 @@ TEST(Env, DoubleDefaultsAndOverrides) {
 
 TEST(Env, ScaleMultipliesAndClampsToOne) {
   unsetenv("MVCC_SCALE");
-  EXPECT_EQ(env_scale(1000), 1000);
+  EXPECT_EQ(Config::from_env().scaled(1000), 1000);
   setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_EQ(env_scale(1000), 2500);
+  EXPECT_EQ(Config::from_env().scaled(1000), 2500);
   setenv("MVCC_SCALE", "0.0001", 1);
-  EXPECT_EQ(env_scale(1000), 1);  // positive base never scales to zero
+  // A positive base never scales to zero.
+  EXPECT_EQ(Config::from_env().scaled(1000), 1);
   unsetenv("MVCC_SCALE");
 }
 
 TEST(Env, ScaleNoArgReturnsRawMultiplier) {
   unsetenv("MVCC_SCALE");
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 1.0);
   setenv("MVCC_SCALE", "2.5", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 2.5);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 2.5);
   setenv("MVCC_SCALE", "0.01", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 0.01);  // fractional scales pass through
+  // Fractional scales pass through.
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 0.01);
   setenv("MVCC_SCALE", "junk", 1);
-  EXPECT_DOUBLE_EQ(env_scale(), 1.0);
+  EXPECT_DOUBLE_EQ(Config::from_env().scale, 1.0);
   unsetenv("MVCC_SCALE");
 }
 
 TEST(Env, GrainDefaultsOverridesAndRejectsNonPositive) {
   unsetenv("MVCC_GRAIN");
-  EXPECT_EQ(env_grain(), 2048);
+  EXPECT_EQ(Config::from_env().grain, 2048);
   setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);
+  EXPECT_EQ(Config::from_env().grain, 64);
   setenv("MVCC_GRAIN", "0", 1);
-  EXPECT_EQ(env_grain(), 2048);  // a grain of 0 would fork every node
+  // A grain of 0 would fork every node.
+  EXPECT_EQ(Config::from_env().grain, 2048);
   setenv("MVCC_GRAIN", "-5", 1);
-  EXPECT_EQ(env_grain(), 2048);
+  EXPECT_EQ(Config::from_env().grain, 2048);
   setenv("MVCC_GRAIN", "junk", 1);
-  EXPECT_EQ(env_grain(), 2048);
+  EXPECT_EQ(Config::from_env().grain, 2048);
   unsetenv("MVCC_GRAIN");
 }
 
 TEST(Env, ThreadsIsPositive) {
   unsetenv("MVCC_THREADS");
-  EXPECT_GE(env_threads(), 1);
+  EXPECT_GE(Config::from_env().threads, 1);
   setenv("MVCC_THREADS", "5", 1);
-  EXPECT_EQ(env_threads(), 5);
+  EXPECT_EQ(Config::from_env().threads, 5);
   setenv("MVCC_THREADS", "-2", 1);
-  EXPECT_GE(env_threads(), 1);
+  EXPECT_GE(Config::from_env().threads, 1);
   unsetenv("MVCC_THREADS");
 }
 
@@ -87,11 +92,12 @@ TEST(Env, GrainClampsTinyValuesToFloor) {
   // parser clamps them up rather than letting a typo'd knob fall off a
   // scheduling cliff. Non-positive values still mean "use the default".
   setenv("MVCC_GRAIN", "1", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
+  EXPECT_EQ(Config::from_env().grain, kGrainFloor);
   setenv("MVCC_GRAIN", "63", 1);
-  EXPECT_EQ(env_grain(), kGrainFloor);
+  EXPECT_EQ(Config::from_env().grain, kGrainFloor);
   setenv("MVCC_GRAIN", "64", 1);
-  EXPECT_EQ(env_grain(), 64);  // the floor itself passes through
+  // The floor itself passes through.
+  EXPECT_EQ(Config::from_env().grain, 64);
   unsetenv("MVCC_GRAIN");
 }
 
@@ -114,33 +120,93 @@ TEST(Env, ConfigFromEnvSeedsEveryKnob) {
 
 TEST(Env, ConfigShardsParsesAndClamps) {
   setenv("MVCC_SHARDS", "4", 1);
-  reload_config();
-  EXPECT_EQ(config().shards, 4);
+  EXPECT_EQ(Config::from_env().shards, 4);
   setenv("MVCC_SHARDS", "0", 1);  // non-positive clamps to 1
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
+  EXPECT_EQ(Config::from_env().shards, 1);
   setenv("MVCC_SHARDS", "-3", 1);
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
+  EXPECT_EQ(Config::from_env().shards, 1);
   setenv("MVCC_SHARDS", "100000", 1);  // absurd counts clamp to 256
-  reload_config();
-  EXPECT_EQ(config().shards, 256);
+  EXPECT_EQ(Config::from_env().shards, 256);
   setenv("MVCC_SHARDS", "bogus", 1);  // malformed falls back to default
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
+  EXPECT_EQ(Config::from_env().shards, 1);
   unsetenv("MVCC_SHARDS");
-  reload_config();
-  EXPECT_EQ(config().shards, 1);
+  EXPECT_EQ(Config::from_env().shards, 1);
 }
 
-TEST(Env, ReloadConfigReseedsTheProcessSingleton) {
-  const Config saved = config();
-  setenv("MVCC_GRAIN", "4096", 1);
-  reload_config();
-  EXPECT_EQ(config().grain, 4096);
-  unsetenv("MVCC_GRAIN");
-  reload_config();
-  EXPECT_EQ(config().grain, saved.grain);
+TEST(Env, ConfigFromEnvParsesObsAndReclaimKnobs) {
+  const char* kKnobs[] = {"MVCC_STATS", "MVCC_PERF", "MVCC_TRACE",
+                          "MVCC_BG_RECLAIM"};
+  for (const char* k : kKnobs) unsetenv(k);
+  Config c = Config::from_env();
+  EXPECT_FALSE(c.stats);
+  EXPECT_FALSE(c.perf);
+  EXPECT_TRUE(c.trace_path.empty());
+  EXPECT_FALSE(c.bg_reclaim);
+
+  setenv("MVCC_STATS", "1", 1);
+  setenv("MVCC_PERF", "1", 1);
+  setenv("MVCC_TRACE", "trace.json", 1);
+  setenv("MVCC_BG_RECLAIM", "1", 1);
+  c = Config::from_env();
+  EXPECT_TRUE(c.stats);
+  EXPECT_TRUE(c.perf);
+  EXPECT_EQ(c.trace_path, "trace.json");
+  EXPECT_TRUE(c.bg_reclaim);
+
+  // Any nonzero number switches a flag on; 0 switches it off.
+  setenv("MVCC_STATS", "2", 1);
+  setenv("MVCC_PERF", "0", 1);
+  setenv("MVCC_BG_RECLAIM", "-1", 1);
+  c = Config::from_env();
+  EXPECT_TRUE(c.stats);
+  EXPECT_FALSE(c.perf);
+  EXPECT_TRUE(c.bg_reclaim);
+
+  // Malformed values fall back to the default (off), and an empty
+  // MVCC_TRACE names no file.
+  setenv("MVCC_STATS", "yes", 1);
+  setenv("MVCC_PERF", "on", 1);
+  setenv("MVCC_TRACE", "", 1);
+  setenv("MVCC_BG_RECLAIM", "1x", 1);
+  c = Config::from_env();
+  EXPECT_FALSE(c.stats);
+  EXPECT_FALSE(c.perf);
+  EXPECT_TRUE(c.trace_path.empty());
+  EXPECT_FALSE(c.bg_reclaim);
+  for (const char* k : kKnobs) unsetenv(k);
+}
+
+// config() parses the environment at its first call — not at static
+// initialisation — and never again; the obs/ and vm/ run-time switches
+// start at its values. No other test in this binary calls config(), so the
+// environment set here is the one it parses.
+TEST(Env, ConfigIsReadOnceAndSeedsRuntimeSwitches) {
+  setenv("MVCC_STATS", "1", 1);
+  setenv("MVCC_TRACE", "never-written.json", 1);
+  setenv("MVCC_BG_RECLAIM", "1", 1);
+  setenv("MVCC_SHARDS", "3", 1);
+  const Config& c = config();
+  EXPECT_TRUE(c.stats);
+  EXPECT_EQ(c.trace_path, "never-written.json");
+  EXPECT_TRUE(c.bg_reclaim);
+  EXPECT_EQ(c.shards, 3);
+#if defined(MVCC_STATS_DISABLED)
+  EXPECT_FALSE(obs::enabled());
+  EXPECT_FALSE(obs::trace_on());
+#else
+  EXPECT_TRUE(obs::enabled());
+  EXPECT_TRUE(obs::trace_on());
+#endif
+  EXPECT_TRUE(vm::bg_reclaim_enabled());
+
+  // A later change to the environment changes nothing.
+  setenv("MVCC_SHARDS", "7", 1);
+  unsetenv("MVCC_STATS");
+  unsetenv("MVCC_TRACE");
+  unsetenv("MVCC_BG_RECLAIM");
+  EXPECT_EQ(config().shards, 3);
+  EXPECT_TRUE(config().stats);
+  unsetenv("MVCC_SHARDS");
 }
 
 TEST(Rng, DeterministicPerSeed) {

@@ -2,9 +2,7 @@
 // corpus determinism under fixed seeds, index-vs-brute-force oracle on
 // small corpora, last-write-wins on replayed batches, snapshot isolation
 // of and-queries during concurrent add_documents, and precise GC
-// (ftree::live_nodes returns to baseline after churn). Suites are named
-// Invidx* so the TSan CI tier (-R 'Vm|Txn|Baselines|Invidx') runs the
-// concurrency tests under the race detector.
+// (ftree::live_nodes returns to baseline after churn).
 #include <gtest/gtest.h>
 
 #include <algorithm>

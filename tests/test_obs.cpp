@@ -3,8 +3,7 @@
 // counter exactness under concurrent per-thread increments, gauge
 // high-water marks, registry identity and dump formats, and an end-to-end
 // BatchingMap run asserting that the txn/vm/ftree instrumentation actually
-// records under MVCC_STATS. Every suite name starts with "Obs" so CI's
-// TSan job can select this tier with `ctest -R '...|Obs'`.
+// records under MVCC_STATS.
 #include <gtest/gtest.h>
 
 #include <atomic>

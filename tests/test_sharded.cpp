@@ -1,10 +1,8 @@
 // Tests for the sharded multi-writer front-end (txn/sharded.h): key
 // routing, per-shard commit accounting, the cross-shard snapshot protocol
 // (version vectors never observe a torn multi-shard commit), atomic
-// multi_upsert_sync spanning shards, the MVCC_SHARDS latch, and the
-// partitioned YCSB driver. Every suite name starts with "Sharded" so CI's
-// TSan job selects this tier with -R '...|Sharded'; the stress tests are
-// the ones that must be TSan-clean. Every test checks ftree::live_nodes()
+// multi_upsert_sync spanning shards, MVCC_SHARDS sizing, and the
+// partitioned YCSB driver. Every test checks ftree::live_nodes()
 // returns to baseline after teardown — per-shard precise freed-set
 // accounting must survive the scale-out.
 #include <gtest/gtest.h>
@@ -344,35 +342,18 @@ TEST(ShardedMetrics, RegistryExportsPerShardAndSnapshotCounters) {
 #endif  // !MVCC_STATS_DISABLED
 
 // ---------------------------------------------------------------------------
-// The MVCC_SHARDS latch (satellite: reload_config must not let the shard
-// topology mismatch mid-process).
+// MVCC_SHARDS sizing.
 
-TEST(ShardedConfig, ShardCountLatchesAtFirstDefaultConstruction) {
+TEST(ShardedConfig, DefaultSizedMapHasConfigShardCount) {
   const long long base_live = ftree::live_nodes();
-  ASSERT_EQ(setenv("MVCC_SHARDS", "3", 1), 0);
-  reload_config();
-  EXPECT_EQ(config().shards, 3);
   {
-    PswfSharded first(1);  // shards=0: sizes from config, latches 3
-    EXPECT_EQ(first.shard_count(), 3);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
-
-    // A reload after the latch changes config() but NOT the latched count:
-    // new default-sized maps keep the first topology.
-    ASSERT_EQ(setenv("MVCC_SHARDS", "7", 1), 0);
-    reload_config();
-    EXPECT_EQ(config().shards, 7);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
-    PswfSharded second(1);
-    EXPECT_EQ(second.shard_count(), 3);
-
-    // Explicit counts bypass the latch without disturbing it.
-    PswfSharded forced(1, {}, /*shards=*/5);
+    PswfSharded sized(1);  // shards=0: sizes from config()
+    EXPECT_EQ(sized.shard_count(), config().shards);
+    PswfSharded forced(1, {}, /*shards=*/5);  // explicit count overrides
     EXPECT_EQ(forced.shard_count(), 5);
-    EXPECT_EQ(txn::latched_shard_count(), 3);
+    PswfSharded again(1);
+    EXPECT_EQ(again.shard_count(), sized.shard_count());
   }
-  ASSERT_EQ(unsetenv("MVCC_SHARDS"), 0);
-  reload_config();
   EXPECT_EQ(ftree::live_nodes(), base_live);
 }
 

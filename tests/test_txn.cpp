@@ -2,8 +2,7 @@
 // generator: commit semantics (sync tickets, flush drains, last-write-wins
 // dedup), snapshot isolation of read transactions, batch-bound accounting,
 // multi-producer/multi-reader stress, and zero node leakage after every
-// teardown. Every suite name starts with "Txn" so CI's TSan job can select
-// this concurrency tier alongside Vm with `ctest -R 'Vm|Txn'`.
+// teardown.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -229,6 +228,7 @@ void run_producers_vs_readers_stress() {
     M map(kProducers, M::Map::from_entries(workload::ycsb_dataset(2000)),
           1 << 12, 128);
     std::atomic<bool> stop{false};
+    std::atomic<int> submitting{0};
     std::vector<std::thread> threads;
     for (int p = 1; p < kProducers; ++p) {
       threads.emplace_back([&, p] {
@@ -240,7 +240,7 @@ void run_producers_vs_readers_stress() {
           } else {
             map.submit(p, txn::BatchOp::kUpsert, rng.next_below(4000), i);
           }
-          ++i;
+          if (++i == 1) submitting.fetch_add(1, std::memory_order_release);
         }
       });
     }
@@ -253,6 +253,11 @@ void run_producers_vs_readers_stress() {
         (void)v;
         auto txn = map.read_txn(0);
         EXPECT_GE(txn.map().size(), 2000u);
+      }
+      // On a loaded host the producers may not have run yet: stop only
+      // once each has submitted, so the check below is about commits.
+      while (submitting.load(std::memory_order_acquire) < kProducers - 1) {
+        std::this_thread::yield();
       }
       stop.store(true, std::memory_order_release);
     });
@@ -384,7 +389,7 @@ TEST(TxnReclaim, DeferredFreesDrainToBaselineAtTeardown) {
   }
   // ~BatchingMap quiesced the lane: every deferred batch has been freed.
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
@@ -401,7 +406,7 @@ TEST(TxnReclaim, ShutdownWithBackedUpLaneDoesNotLeak) {
     }
   }
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnReclaim, ReadsStayCorrectWhileReclaimRunsBehind) {
@@ -501,7 +506,7 @@ TEST(ReclaimLatency, SyncCommitP99DoesNotInheritRetirementFrees) {
       << "us";
   // Both modes stay precise: everything freed once both maps are gone.
   EXPECT_EQ(ftree::live_nodes(), base_live);
-  EXPECT_EQ(vm::reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(TxnYcsb, DatasetIsDeterministicAndCoversKeySpace) {

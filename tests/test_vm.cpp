@@ -2,8 +2,7 @@
 // precise freed sets of PSWF/PSLF, the characteristic live-version bounds
 // of each reclamation scheme (HP's 2P, RCU's 1, EP's stalled-reader
 // blow-up), and multi-threaded stress proving no version is ever freed
-// while a reader holds it. Every suite name starts with "Vm" so CI's TSan
-// job can select the concurrency tier with `ctest -R Vm`.
+// while a reader holds it.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -417,7 +416,7 @@ TEST(VmReclaim, InlineModeFreesImmediately) {
   EXPECT_EQ(CountedPayload::live.load(), 50);
   reclaim_payloads(std::move(batch));
   EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(mvcc::alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(VmReclaim, DeferredModeFreesExactlyOnceAfterQuiesce) {
@@ -430,7 +429,7 @@ TEST(VmReclaim, DeferredModeFreesExactlyOnceAfterQuiesce) {
   reclaim_quiesce();
   set_bg_reclaim(false);
   EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(mvcc::alloc::reclaim_queue_depth().load(), 0);
 }
 
 TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
@@ -460,7 +459,7 @@ TEST(VmReclaim, PreciseFreedSetsStayExactWhenDeferred) {
   reclaim_quiesce();
   set_bg_reclaim(false);
   EXPECT_EQ(CountedPayload::live.load(), 0);
-  EXPECT_EQ(reclaim_queue_depth().load(), 0);
+  EXPECT_EQ(mvcc::alloc::reclaim_queue_depth().load(), 0);
 }
 
 // --- acquire_version_vector: the cross-manager validate-retry helper ------
